@@ -12,18 +12,18 @@ Measured cases:
 * ``es_allocate_*`` — the ES allocator on the paper's 6-relation
   configuration, in three flavours: ``scalar_reference`` (a live-timed
   verbatim replica of the pre-fast-path coordinate descent — the
-  "before" number), ``batched`` (numpy ``cost_many`` sweeps) and
-  ``native`` (the runtime-compiled C kernel, when a compiler exists).
+  "before" number), ``fallback`` (the library's scalar descent, used
+  without a compiler) and ``native`` (the runtime-compiled C kernel,
+  when a compiler exists).
 * ``plan_*`` — end-to-end planner wall time for GS, GCSL and the EPES
   oracle on the paper workload.
-* ``engine_sweep_*`` — a 4-point bucket-count sweep of the vectorized
-  engine over a synthetic stream, with and without a ``HashCache``.
-  These cases pin ``native=False`` so they keep timing the pure numpy
-  reference path from PR to PR.
+* ``engine_sweep_uncached`` — a 4-point bucket-count sweep of the
+  vectorized engine over a synthetic stream. It pins ``native=False`` so
+  it keeps timing the pure numpy reference path from commit to commit.
 * ``engine_native`` (its own top-level section) — the same sweep through
-  the fused C ingest kernel (:mod:`repro.native.ingest`), uncached and
-  against a warm ``HashCache``, with speedups over
-  ``engine_sweep_uncached`` and the kernel's build diagnostics. The
+  the fused C ingest kernel (:mod:`repro.native.ingest`), with its
+  speedup over ``engine_sweep_uncached`` and the kernel's build
+  diagnostics. The
   section is equivalence-gated: the kernel's counters and per-epoch HFTA
   totals must be bit-identical to the numpy sweep at every point, or the
   suite exits non-zero.
@@ -36,14 +36,6 @@ Measured cases:
   kernel and through the numpy fallback. Equivalence-gated: every
   timed path's totals and answers must be bit-identical to the
   replica's.
-* ``strategy`` (its own top-level section) — the hash/sort/shared
-  crossover curve: three (g, b, epochs) regimes, each timed two ways
-  under all three strategies — the engine pass alone (the LFTA-side
-  line-rate cost the paper's model prices) and end-to-end through the
-  HFTA answer fold — with the measured winner and the
-  :class:`StrategyPlanner`'s pick recorded side by side.  The curve is
-  equivalence-gated: every strategy's answers and counters must be
-  bit-identical to the hash reference in every regime.
 
 Every fast path must be *bit-identical* to its reference; the suite
 re-asserts that here (``equivalence`` in the JSON) and exits non-zero on
@@ -60,22 +52,20 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.allocation import (ExhaustiveAllocator, StrategyPlanner,
-                                   _ckernel)
+from repro.core.allocation import ExhaustiveAllocator, _ckernel
 from repro.core.choosing.greedy_space import GreedySpace
 from repro.core.configuration import Configuration
 from repro.core.cost_model import CostParameters
 from repro.core.optimizer import plan
 from repro.core.queries import QuerySet
 from repro.core.statistics import RelationStatistics
-from repro.gigascope import (Dataset, HashCache, StrategyState, StreamSchema,
-                             simulate)
+from repro.gigascope import simulate
 from repro.native import machine_info
 from repro.observability import MetricsRegistry, RunManifest
 from repro.observability.manifest import current_git_sha
 from repro.workloads import paper_synthetic_dataset
 
-SCHEMA = "bench-perf/1"
+SCHEMA = "bench-perf/2"
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_perf.json"
 
 STATS = RelationStatistics.from_counts({
@@ -95,7 +85,7 @@ class ScalarReferenceES(ExhaustiveAllocator):
 
     Identical multi-start structure; only the inner loop is the original
     mutate-and-revert scalar scan, so its wall time is what every
-    ``allocate`` call cost before the batched/native paths existed.
+    ``allocate`` call cost before the native path existed.
     """
 
     def _descend(self, evaluator, stats, memory, spaces, initial_step=None):
@@ -179,22 +169,22 @@ def _engine_outputs(result, config) -> tuple:
 
 def _planner_cases(reps: int, cases: dict, checks: list) -> None:
     scalar = ScalarReferenceES()
-    batched = ExhaustiveAllocator(native=False)
+    fallback = ExhaustiveAllocator(native=False)
     native = ExhaustiveAllocator()
 
     scalar_s, scalar_alloc = _time_case(
         lambda: scalar.allocate(CONFIG, STATS, MEMORY, PARAMS), reps)
-    batched_s, batched_alloc = _time_case(
-        lambda: batched.allocate(CONFIG, STATS, MEMORY, PARAMS), reps)
+    fallback_s, fallback_alloc = _time_case(
+        lambda: fallback.allocate(CONFIG, STATS, MEMORY, PARAMS), reps)
     cases["es_allocate_scalar_reference"] = {
         "seconds": scalar_s, "per_call_ms": scalar_s * 1e3,
         "meta": {"relations": len(CONFIG), "memory": MEMORY}}
-    cases["es_allocate_batched"] = {
-        "seconds": batched_s, "per_call_ms": batched_s * 1e3,
-        "meta": {"speedup_vs_scalar": scalar_s / batched_s}}
+    cases["es_allocate_fallback"] = {
+        "seconds": fallback_s, "per_call_ms": fallback_s * 1e3,
+        "meta": {"speedup_vs_scalar": scalar_s / fallback_s}}
     checks.append({
-        "name": "es_batched_equals_scalar_reference",
-        "ok": _alloc_key(batched_alloc) == _alloc_key(scalar_alloc)})
+        "name": "es_fallback_equals_scalar_reference",
+        "ok": _alloc_key(fallback_alloc) == _alloc_key(scalar_alloc)})
 
     if _ckernel.kernel_available():
         native_s, native_alloc = _time_case(
@@ -246,18 +236,12 @@ def _engine_cases(records: int, reps: int, cases: dict,
         return {rel: base + 37 * i
                 for i, rel in enumerate(ENGINE_CONFIG.relations)}
 
-    def sweep(cache=None, native=False):
-        results = []
-        for base in bases:
-            results.append(simulate(dataset, ENGINE_CONFIG, buckets(base),
-                                    epoch_seconds=5.0, hash_cache=cache,
-                                    native=native))
-        return results
+    def sweep(native=False):
+        return [simulate(dataset, ENGINE_CONFIG, buckets(base),
+                         epoch_seconds=5.0, native=native)
+                for base in bases]
 
     plain_s, plain_results = _time_case(sweep, reps)
-    warm_cache = HashCache()
-    sweep(warm_cache)  # populate once; timed reps below are all hits
-    cached_s, cached_results = _time_case(lambda: sweep(warm_cache), reps)
 
     per_point = records * len(bases)
     cases["engine_sweep_uncached"] = {
@@ -265,17 +249,7 @@ def _engine_cases(records: int, reps: int, cases: dict,
         "records_per_sec": per_point / plain_s,
         "meta": {"records": records, "sweep_points": len(bases),
                  "native": False}}
-    cases["engine_sweep_hash_cached"] = {
-        "seconds": cached_s,
-        "records_per_sec": per_point / cached_s,
-        "meta": {"speedup_vs_uncached": plain_s / cached_s,
-                 "cache_hits": warm_cache.hits,
-                 "cache_misses": warm_cache.misses,
-                 "native": False}}
     reference = [_engine_outputs(r, ENGINE_CONFIG) for r in plain_results]
-    ok = all(reference[i] == _engine_outputs(r, ENGINE_CONFIG)
-             for i, r in enumerate(cached_results))
-    checks.append({"name": "engine_hash_cache_parity", "ok": ok})
 
     from repro.native import ingest as native_ingest
     from repro.native.build import kernel_status
@@ -291,28 +265,14 @@ def _engine_cases(records: int, reps: int, cases: dict,
         return section
 
     native_s, native_results = _time_case(lambda: sweep(native=True), reps)
-    native_cache = HashCache()
-    sweep(native_cache, native=True)
-    native_cached_s, native_cached_results = _time_case(
-        lambda: sweep(native_cache, native=True), reps)
     checks.append({
         "name": "engine_native_equals_numpy",
         "ok": all(reference[i] == _engine_outputs(r, ENGINE_CONFIG)
                   for i, r in enumerate(native_results))})
-    checks.append({
-        "name": "engine_native_cached_equals_numpy",
-        "ok": all(reference[i] == _engine_outputs(r, ENGINE_CONFIG)
-                  for i, r in enumerate(native_cached_results))})
     section["uncached"] = {
         "seconds": native_s,
         "records_per_sec": per_point / native_s,
         "speedup_vs_numpy": plain_s / native_s}
-    section["hash_cached"] = {
-        "seconds": native_cached_s,
-        "records_per_sec": per_point / native_cached_s,
-        "speedup_vs_numpy": plain_s / native_cached_s,
-        "cache_hits": native_cache.hits,
-        "cache_misses": native_cache.misses}
     return section
 
 
@@ -535,137 +495,6 @@ def _hfta_cases(records: int, reps: int, checks: list) -> dict:
     return section
 
 
-#: The crossover regimes: (name, groups, buckets, epochs, metric, drift).
-#: ``metric`` names the timing each regime's winner is judged on:
-#:
-#: * ``low_load`` is collision-free (g/b ~0.02), so every strategy ships
-#:   one partial per group per epoch — the answer fold costs the same for
-#:   all three and the discriminator is the *engine* line-rate cost (the
-#:   per-record LFTA work the paper's cost model prices). Hash wins: the
-#:   accounting pass is already its emission; sort pays an extra unique,
-#:   shared a persistent-table assignment.
-#: * ``small_recurring`` (tiny recurring group set, heavy collisions,
-#:   many epochs): hash ships one partial per *run*, so the honest
-#:   discriminator is *answer* time (engine pass + exact per-epoch
-#:   totals). The shared table resolves the recurring groups once and
-#:   emits premerged batches the HFTA folds without re-grouping —
-#:   shared wins.
-#: * ``high_cardinality`` (``drift``: a fresh block of ``groups`` group
-#:   values every epoch — the classic drifting-key stream). Sort
-#:   compresses each epoch's collision stream to one partial per group;
-#:   the shared table churns instead of amortizing (every epoch inserts
-#:   unseen groups, regrowing its digest index and widening the table
-#:   its emission scans) — sort wins answer time.
-#: ``epochs=None`` scales with the record budget (~1000 records/epoch)
-#: so the many-epoch regime keeps its shape under ``--quick``.
-_STRATEGY_REGIMES = (
-    ("low_load", 20_000, 1 << 20, 8, "engine", False),
-    ("small_recurring", 64, 8, None, "answer", False),
-    ("high_cardinality", 2000, 256, 8, "answer", True),
-)
-
-
-def _strategy_stream(records: int, groups: int, epochs: int, seed: int,
-                     drift: bool = False) -> Dataset:
-    """A two-attribute stream over ``epochs`` epochs of 5 s.
-
-    Uniform mode draws every record's (A, B) pair from one universe of
-    ``groups`` values; ``drift`` gives each epoch its own fresh block of
-    ``groups`` values (total cardinality ``groups * epochs``).
-    """
-    rng = np.random.default_rng(seed)
-    gid = rng.integers(0, groups, records)
-    if drift:
-        epoch_of = (np.arange(records) * epochs) // records
-        gid = epoch_of * groups + gid
-    schema = StreamSchema(("A", "B"))
-    columns = {"A": gid >> 10, "B": gid & 1023}
-    timestamps = np.linspace(0.0, epochs * 5.0, records, endpoint=False)
-    return Dataset(schema, columns, timestamps, {})
-
-
-def _strategy_cases(records: int, reps: int, checks: list) -> dict:
-    """Time the hash/sort/shared crossover; returns the ``strategy``
-    section of the JSON document.
-
-    Each regime times each strategy twice: the engine pass alone
-    (``engine_seconds`` — the line-rate cost) and engine plus the HFTA
-    answer fold (``answer_seconds`` — the cost to exact per-epoch
-    totals). The regime's ``metric`` field says which one crowns its
-    ``winner`` (see ``_STRATEGY_REGIMES``). Every regime is
-    equivalence-gated: non-hash answers and counters must be
-    bit-identical to hash.
-    """
-    config = Configuration.from_notation("AB")
-    rel = next(iter(config.relations))
-    planner = StrategyPlanner()
-    # Crossover margins are tens of percent, not orders of magnitude —
-    # best-of-2 flips winners under scheduler noise, so floor the reps.
-    reps = max(reps, 5)
-    curve = []
-    for name, groups, buckets, epochs, metric, drift in _STRATEGY_REGIMES:
-        if epochs is None:
-            epochs = max(25, records // 1000)
-        dataset = _strategy_stream(records, groups, epochs, seed=23,
-                                   drift=drift)
-        g_actual = int(np.unique(
-            dataset.columns["A"].astype(np.int64) * 1024
-            + dataset.columns["B"]).size)
-
-        def engine_pass(strategy):
-            # native=False: the crossover regimes (and their documented
-            # winners) price the numpy path the cost model was fit to.
-            return simulate(dataset, config, {rel: buckets},
-                            epoch_seconds=5.0,
-                            strategies=strategy,
-                            strategy_state=StrategyState(),
-                            native=False)
-
-        def answer_pass(strategy):
-            result = engine_pass(strategy)
-            for epoch in result.hfta.epochs(rel):
-                result.hfta.totals(rel, epoch)
-            return result
-
-        engine_s = {}
-        answer_s = {}
-        outputs = {}
-        for strategy in ("hash", "sort", "shared"):
-            seconds, _ = _time_case(lambda s=strategy: engine_pass(s), reps)
-            engine_s[strategy] = seconds
-            seconds, result = _time_case(
-                lambda s=strategy: answer_pass(s), reps)
-            answer_s[strategy] = seconds
-            outputs[strategy] = _engine_outputs(result, config)
-        ok = all(outputs[s] == outputs["hash"] for s in ("sort", "shared"))
-        checks.append({"name": f"strategy_equivalence_{name}", "ok": ok})
-        stats = RelationStatistics.from_counts({str(rel): g_actual})
-        decision = planner.choose(config, stats, {rel: buckets})[0]
-        judged = engine_s if metric == "engine" else answer_s
-        curve.append({
-            "regime": name,
-            "groups": g_actual,
-            "buckets": buckets,
-            "epochs": epochs,
-            "ratio": g_actual / buckets,
-            "records": records,
-            "metric": metric,
-            "engine_seconds": engine_s,
-            "answer_seconds": answer_s,
-            "records_per_sec": {s: records / t for s, t in engine_s.items()},
-            "winner": min(judged, key=judged.get),
-            "winner_engine": min(engine_s, key=engine_s.get),
-            "winner_answer": min(answer_s, key=answer_s.get),
-            "planner_pick": decision.strategy,
-            "planner_reason": decision.reason,
-        })
-    return {
-        "crossover": curve,
-        "planner": {"sort_ratio": planner.sort_ratio,
-                    "shared_max_groups": planner.shared_max_groups},
-    }
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.quick:
@@ -682,8 +511,6 @@ def main(argv: list[str] | None = None) -> int:
     engine_native = _engine_cases(args.records, args.reps, cases, checks)
     print("timing HFTA columnar merge...")
     hfta = _hfta_cases(args.records, args.reps, checks)
-    print("timing strategy crossover...")
-    strategy = _strategy_cases(args.records, args.reps, checks)
 
     for name, case in cases.items():
         if case.get("seconds") is not None:
@@ -704,7 +531,6 @@ def main(argv: list[str] | None = None) -> int:
         "cases": cases,
         "engine_native": engine_native,
         "hfta": hfta,
-        "strategy": strategy,
         "equivalence": {"ok": all_ok, "checks": checks},
     }
     out_path = Path(args.out)
@@ -721,12 +547,11 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{name:>32}: {case['seconds']:.3f} s "
                   f"({case['records_per_sec'] / 1e6:.2f}M rec/s)")
     if engine_native.get("available"):
-        for label in ("uncached", "hash_cached"):
-            point = engine_native[label]
-            print(f"{'engine_native_' + label:>32}: "
-                  f"{point['seconds']:.3f} s "
-                  f"({point['records_per_sec'] / 1e6:.2f}M rec/s, "
-                  f"{point['speedup_vs_numpy']:.2f}x vs numpy)")
+        point = engine_native["uncached"]
+        print(f"{'engine_native_uncached':>32}: "
+              f"{point['seconds']:.3f} s "
+              f"({point['records_per_sec'] / 1e6:.2f}M rec/s, "
+              f"{point['speedup_vs_numpy']:.2f}x vs numpy)")
     else:
         print(f"{'engine_native':>32}: skipped "
               f"({engine_native.get('skipped')})")
@@ -738,14 +563,6 @@ def main(argv: list[str] | None = None) -> int:
               f"{case['columnar_merge_seconds'] * 1e3:.1f} ms "
               f"({case['rows_per_sec'] / 1e6:.2f}M rows/s, "
               f"merge {case['merge_speedup']:.2f}x vs np.unique{extra})")
-    for point in strategy["crossover"]:
-        key = f"{point['metric']}_seconds"
-        timing = " ".join(f"{s}={point[key][s] * 1e3:.1f}ms"
-                          for s in ("hash", "sort", "shared"))
-        print(f"{'strategy_' + point['regime']:>32}: "
-              f"g/b={point['ratio']:.2f} winner={point['winner']} "
-              f"planner={point['planner_pick']} "
-              f"[{point['metric']}] ({timing})")
 
     if args.manifest_out:
         manifest = RunManifest.collect(

@@ -123,7 +123,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.out.exists():
         document = json.loads(args.out.read_text())
     else:
-        document = {"schema": "bench-perf/1"}
+        document = {"schema": "bench-perf/2"}
     document["service"] = section
     args.out.write_text(json.dumps(document, indent=2) + "\n")
     print(f"wrote service section -> {args.out}")

@@ -10,21 +10,19 @@ multi-start coordinate descent over the same grid, polished to sub-grid
 resolution. Tests verify the descent matches the true grid wherever both
 run.
 
-Evaluation is tiered for speed, all tiers bit-identical to the scalar
-reference (asserted by tests, not assumed):
+Evaluation has one fast path per search, each bit-identical to the
+scalar reference (asserted by tests, not assumed):
 
-* :meth:`CostEvaluator.cost_many` scores a whole batch of space vectors
+* :meth:`CostEvaluator.cost_many` scores a whole batch of grid points
   with numpy, mirroring the scalar float ops lane-for-lane (left-to-right
   accumulation, same lerp) so batched decisions match scalar ones exactly.
-* :meth:`ExhaustiveAllocator._descend` scans whole sweeps of (i, j) trial
-  moves per ``cost_many`` call, simulating the scalar loop's
-  mutate-and-revert arithmetic so even its rounding quirks are preserved;
-  trials are evaluated on copies, so a raising collision model can no
-  longer corrupt the caller's space vector.
-* When a C compiler is available the entire descent runs natively
+* When a C compiler is available and the model is the plain
+  :class:`LookupModel`, the coordinate descent runs natively
   (:mod:`repro.core.allocation._ckernel`), which is what makes ES usable
-  as an online reference; set ``native=False`` or ``REPRO_NO_CKERNEL`` to
-  force the numpy path.
+  as an online reference. Otherwise — or with ``native=False`` /
+  ``REPRO_NO_CKERNEL`` — it runs the scalar mutate-and-revert loop on a
+  copy of the space vector, so a raising collision model cannot corrupt
+  the caller's list.
 """
 
 from __future__ import annotations
@@ -236,8 +234,7 @@ class ExhaustiveAllocator:
     native:
         Allow the runtime-compiled C descent kernel when the model is the
         plain :class:`LookupModel` and a compiler is available; falls back
-        to the batched numpy path otherwise (both are bit-identical to
-        the scalar reference).
+        to the scalar descent loop otherwise (the two are bit-identical).
     """
 
     grid_step: float = 0.01
@@ -332,114 +329,38 @@ class ExhaustiveAllocator:
                     evaluator.c1, evaluator.c2,
                     evaluator.model.table_array, evaluator.model.table_step,
                     step, min_step)
-        return self._descend_batched(evaluator, base, floors, step, min_step)
+        return self._descend_scalar(evaluator, base, floors, step, min_step)
 
-    def _descend_batched(self, evaluator: CostEvaluator, base: list[float],
-                         floors: list[float], step: float,
-                         min_step: float) -> list[float]:
-        n = len(base)
-        cost = evaluator.cost(base)
+    @staticmethod
+    def _descend_scalar(evaluator: CostEvaluator, spaces: list[float],
+                        floors: list[float], step: float,
+                        min_step: float) -> list[float]:
+        """Coordinate descent by mutate-and-revert, mutating ``spaces``."""
+        n = len(spaces)
+        cost = evaluator.cost(spaces)
         while step >= min_step:
             improved = True
             while improved:
                 improved = False
-                pos: tuple[int, int] | None = (0, 0)
-                while pos is not None:
-                    cands, rows, end_base = self._scan_moves(
-                        base, floors, step, n, pos)
-                    if not cands:
-                        base = end_base
-                        break
-                    costs = evaluator.cost_many(rows)
-                    hit = None
-                    threshold = cost - _IMPROVE_EPS
-                    for k in range(len(cands)):
-                        if costs[k] < threshold:
-                            hit = k
+                for i in range(n):
+                    if spaces[i] - step < floors[i]:
+                        continue
+                    for j in range(n):
+                        if i == j:
+                            continue
+                        spaces[i] -= step
+                        spaces[j] += step
+                        trial = evaluator.cost(spaces)
+                        if trial < cost - _IMPROVE_EPS:
+                            cost = trial
+                            improved = True
+                        else:
+                            spaces[i] += step
+                            spaces[j] -= step
+                        if spaces[i] - step < floors[i]:
                             break
-                    if hit is None:
-                        base = end_base
-                        pos = None
-                    else:
-                        i, j = cands[hit]
-                        base = [float(v) for v in rows[hit]]
-                        cost = float(costs[hit])
-                        improved = True
-                        pos = ((i + 1, 0) if base[i] - step < floors[i]
-                               else (i, j + 1))
             step /= 2.0
-        return base
-
-    @staticmethod
-    def _scan_moves(base: list[float], floors: list[float], step: float,
-                    n: int, pos: tuple[int, int]
-                    ) -> tuple[list[tuple[int, int]], np.ndarray,
-                               list[float]]:
-        """Enumerate the scalar scan's remaining (i, j) trials from ``pos``.
-
-        Trial rows are built against a working vector that replays the
-        scalar loop's ``-= step`` / ``+= step`` revert after every trial
-        (assuming rejection — valid for every row before the first accept,
-        which is the only prefix the caller consumes). This keeps the
-        sub-ulp drift of lossy reverts identical to the reference, so the
-        batched scan visits the exact same float states.
-        """
-        i0, j0 = pos
-        # Fast path: when every coordinate round-trips the mutate/revert
-        # exactly, the working vector provably never drifts, the mid-row
-        # floor break can never fire, and the whole scan is plain (i, j)
-        # enumeration over a constant base — built vectorized.
-        if all((v - step) + step == v and (v + step) - step == v
-               for v in base):
-            cands = []
-            for i in range(i0, n):
-                if i == i0 and j0 > 0:
-                    cands.extend((i, j) for j in range(j0, n) if j != i)
-                    continue
-                if base[i] - step < floors[i]:
-                    continue
-                cands.extend((i, j) for j in range(n) if j != i)
-            if not cands:
-                return cands, np.empty((0, n), dtype=np.float64), list(base)
-            m = len(cands)
-            matrix = np.empty((m, n), dtype=np.float64)
-            matrix[:] = base
-            rindex = np.arange(m)
-            pairs = np.array(cands, dtype=np.intp)
-            matrix[rindex, pairs[:, 0]] -= step
-            matrix[rindex, pairs[:, 1]] += step
-            return cands, matrix, list(base)
-        work = list(base)
-        cands = []
-        rows: list[list[float]] = []
-        i = i0
-        resumed = j0 > 0
-        while i < n:
-            if not resumed and work[i] - step < floors[i]:
-                i += 1
-                continue
-            j = j0 if resumed else 0
-            resumed = False
-            while j < n:
-                if j == i:
-                    j += 1
-                    continue
-                lowered = work[i] - step
-                raised = work[j] + step
-                trial = list(work)
-                trial[i] = lowered
-                trial[j] = raised
-                cands.append((i, j))
-                rows.append(trial)
-                work[i] = lowered + step
-                work[j] = raised - step
-                if work[i] - step < floors[i]:
-                    break
-                j += 1
-            i += 1
-        matrix = (np.asarray(rows, dtype=np.float64) if rows
-                  else np.empty((0, n), dtype=np.float64))
-        return cands, matrix, work
+        return spaces
 
     def _multistart_spaces(self, evaluator: CostEvaluator,
                            config: Configuration, stats: RelationStatistics,

@@ -18,15 +18,18 @@ state payload, so a reader can reject foreign or future files with a
 :class:`~repro.errors.CheckpointError` instead of a pickle traceback.
 Version history: version 1 predates runtime query-set swaps (no
 ``_staged_queries``) and carries no ``extra`` payload; version 2
-predates per-relation execution strategies (no ``strategy_spec`` /
-``_strategy_state``); version 3 predates the columnar HFTA — its HFTA
-payload holds raw eviction batch lists (plus a ``_totals_cache`` of
-merged dicts) instead of folded per-group columnar state. Older files
-are still readable — missing fields take their implied defaults (no
-staged query set, all-hash strategies with an empty shared-table
-state), and a version-3 HFTA upgrades itself on unpickle
-(``HFTA.__setstate__`` drops the stale cache and keeps the batch
-lists, which the first fold then compacts). The
+predates per-relation execution strategies; version 3 predates the
+columnar HFTA — its HFTA payload holds raw eviction batch lists (plus a
+``_totals_cache`` of merged dicts) instead of folded per-group columnar
+state; versions 3 and 4 carry per-relation strategy state
+(``strategy_spec``, ``_strategy_state``, each era's ``strategies`` and
+the HFTA's ``_premerged`` key set), which version 5 dropped along with
+the ``sort``/``shared`` strategies. Older files are still readable —
+missing fields take their implied defaults (no staged query set),
+strategy state is discarded (answers and counters never depended on it,
+so the run resumes as all-hash), and a version-3 HFTA upgrades itself
+on unpickle (``HFTA.__setstate__`` drops the stale cache and keeps the
+batch lists, which the first fold then compacts). The
 ``extra`` payload is an opaque caller dict: the multi-tenant
 :class:`~repro.service.StreamService` stores its query registry,
 tenant activation windows and admission configuration there so a
@@ -53,7 +56,7 @@ __all__ = ["CHECKPOINT_MAGIC", "CHECKPOINT_VERSION", "load_live_checkpoint",
            "read_checkpoint_document", "save_live_checkpoint"]
 
 CHECKPOINT_MAGIC = "repro-live-checkpoint"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 __doc__ = __doc__.format(version=CHECKPOINT_VERSION)
 
@@ -63,12 +66,34 @@ _STATE_ATTRS = (
     "epoch_seconds", "hfta", "eras", "epoch_reports", "reconfigurations",
     "_staged_plan", "_staged_queries", "_pending_cols", "_pending_vals",
     "_pending_times", "_pending_epoch", "_last_time", "records_seen",
-    "strategy_spec", "_strategy_state",
 )
 
 #: Fields added after version 1, with the value a version-1 snapshot
 #: implies (version 1 predates staged query-set swaps).
 _V1_DEFAULTS = {"_staged_queries": None}
+
+#: Classes of the strategy module that version 5 removed; versions 3 and
+#: 4 pickled instances of them inside ``_strategy_state``.
+_REMOVED_CLASSES = frozenset({
+    ("repro.gigascope.strategy", "StrategyState"),
+    ("repro.gigascope.strategy", "SharedGroupTable"),
+})
+
+
+class _RemovedClass:
+    """Unpickling target for a removed class; discarded after the load."""
+
+
+class _Unpickler(pickle.Unpickler):
+    """Maps only the removed strategy classes to :class:`_RemovedClass`.
+
+    Version-5 files never name those classes, so the mapping only ever
+    fires while reading a version 3 or 4 file."""
+
+    def find_class(self, module, name):
+        if (module, name) in _REMOVED_CLASSES:
+            return _RemovedClass
+        return super().find_class(module, name)
 
 
 def _upgrade_state(state: dict, version: int) -> None:
@@ -77,19 +102,19 @@ def _upgrade_state(state: dict, version: int) -> None:
     if version < 2:
         for name, default in _V1_DEFAULTS.items():
             state.setdefault(name, default)
-    if version < 3:
-        # Version 2 predates per-relation strategies: everything ran the
-        # hash machine with no shared-table state.
-        from repro.gigascope.strategy import StrategyState
-
-        state.setdefault("strategy_spec", None)
-        state.setdefault("_strategy_state", StrategyState())
+    if version < 5:
+        # Strategies only ever changed how leaf partials reached the
+        # HFTA, never the answers or counters, so dropping their state
+        # resumes the run as all-hash.
+        state.pop("strategy_spec", None)
+        state.pop("_strategy_state", None)
         for era in state.get("eras", ()):
-            if not hasattr(era, "strategies"):
-                era.strategies = {rel: "hash"
-                                  for rel in era.configuration.relations}
-    # version < 4 needs no handling here: the pre-columnar HFTA payload
-    # (raw batch lists + `_totals_cache`) upgrades itself during
+            era.__dict__.pop("strategies", None)
+        hfta = state.get("hfta")
+        if hfta is not None:
+            hfta.__dict__.pop("_premerged", None)
+    # version < 4 needs no further handling: the pre-columnar HFTA
+    # payload (raw batch lists + `_totals_cache`) upgrades itself during
     # unpickling — ``HFTA.__setstate__`` fills the columnar fields and
     # drops the stale cache, and the first fold compacts the batches.
 
@@ -133,7 +158,7 @@ def read_checkpoint_document(path: str | Path) -> dict:
     path = Path(path)
     try:
         with open(path, "rb") as handle:
-            document = pickle.load(handle)
+            document = _Unpickler(handle).load()
     except FileNotFoundError:
         raise CheckpointError(f"no such checkpoint: {path}") from None
     except (OSError, pickle.UnpicklingError, EOFError, AttributeError,

@@ -1,12 +1,11 @@
 """Batched / native ES evaluation vs the scalar reference.
 
-The fast paths added to :mod:`repro.core.allocation.exhaustive` promise
-*bit-identical* results to the pre-PR scalar algorithm. These tests pin
-that promise: ``cost_many`` against ``cost`` lane by lane, and both the
-batched and (when a compiler is present) native descent against a verbatim
-copy of the original mutate-and-revert loop — including its lossy
-``(a - s) + s`` revert arithmetic, which the replacements must reproduce
-exactly.
+:mod:`repro.core.allocation.exhaustive` promises *bit-identical* results
+across its evaluation paths. These tests pin that promise: ``cost_many``
+against ``cost`` lane by lane, and both the scalar fallback descent and
+(when a compiler is present) the native descent against a verbatim copy
+of the original mutate-and-revert loop — including its lossy
+``(a - s) + s`` revert arithmetic, which both must reproduce exactly.
 """
 
 import math
@@ -38,7 +37,7 @@ PARAMS = CostParameters()
 
 
 def reference_descend(evaluator, spaces, floors, step, min_step):
-    """Verbatim pre-PR scalar coordinate descent (the equivalence oracle)."""
+    """Verbatim original scalar coordinate descent (the equivalence oracle)."""
     spaces = list(spaces)
     n = len(spaces)
     cost = evaluator.cost(spaces)
@@ -142,12 +141,12 @@ class TestDescentEquivalence:
            st.lists(st.floats(min_value=0.05, max_value=1.0),
                     min_size=6, max_size=6))
     @settings(max_examples=25, deadline=None)
-    def test_batched_matches_reference(self, memory, start_fracs):
+    def test_scalar_fallback_matches_reference(self, memory, start_fracs):
         evaluator = CostEvaluator(CONFIG, STATS, PARAMS, LookupModel(), True)
         allocator, start, floors, step, min_step, expected = self._case(
             evaluator, memory, start_fracs)
-        got = allocator._descend_batched(evaluator, list(start), floors,
-                                         step, min_step)
+        got = allocator._descend_scalar(evaluator, list(start), floors,
+                                        step, min_step)
         assert got == expected
 
     @pytest.mark.skipif(not _ckernel.kernel_available(),
@@ -167,11 +166,11 @@ class TestDescentEquivalence:
             evaluator.model.table_step, step, min_step)
         assert got == expected
 
-    def test_allocate_native_and_batched_agree(self):
+    def test_allocate_native_and_scalar_agree(self):
         native = ExhaustiveAllocator()
-        batched = ExhaustiveAllocator(native=False)
+        scalar = ExhaustiveAllocator(native=False)
         a = native.allocate(CONFIG, STATS, 40000.0, PARAMS)
-        b = batched.allocate(CONFIG, STATS, 40000.0, PARAMS)
+        b = scalar.allocate(CONFIG, STATS, 40000.0, PARAMS)
         assert a.buckets == b.buckets
 
     def test_grid_path_matches_descent_flavours(self):
@@ -199,7 +198,7 @@ class _ExplodingModel:
 
 
 class TestExceptionSafety:
-    """Regression: the pre-PR descent mutated the caller's list in place,
+    """Regression: an early descent mutated the caller's list in place,
     so an evaluator raising mid-scan left ``spaces`` corrupted."""
 
     def test_spaces_untouched_when_cost_raises(self):

@@ -130,8 +130,7 @@ def _workload(draw):
     # After which batches to force a fold (exercises incremental
     # state-rows-first re-folds and the answer cache).
     folds = draw(st.sets(st.integers(0, len(batches) - 1)))
-    premerged_first = draw(st.booleans())
-    return batches, folds, premerged_first
+    return batches, folds
 
 
 class TestDifferentialVsReference:
@@ -140,19 +139,11 @@ class TestDifferentialVsReference:
     def test_totals_bit_identical(self, workload):
         """Interleaved ingest/fold produces exactly the reference's
         per-group count/sum/min/max — float bits included."""
-        batches, folds, premerged_first = workload
+        batches, folds = workload
         rel = A("AB")
         hfta = HFTA()
         for i, batch in enumerate(batches):
-            cols, counts, vsums, vmins, vmaxs = batch
-            # The premerged contract is one row per group; only a
-            # genuinely group-unique batch may carry the flag (the
-            # engine's sort/shared emissions guarantee it).
-            rows = list(zip(cols["A"].tolist(), cols["B"].tolist()))
-            premerged = (premerged_first and i == 0
-                         and len(set(rows)) == len(rows))
-            hfta.ingest_arrays(rel, 0, cols, counts, vsums, vmins, vmaxs,
-                               premerged=premerged)
+            hfta.ingest_arrays(rel, 0, *batch)
             if i in folds:
                 hfta.totals(rel, 0)
         _assert_totals_equal(hfta.totals(rel, 0),
@@ -169,7 +160,7 @@ class TestDifferentialVsReference:
         tree-shaped addition the row-shipping design exists to avoid).
         The destination may fold whenever: its state re-enters later
         folds first, preserving the sequence."""
-        batches, folds, _ = workload
+        batches, folds = workload
         split = min(split, len(batches))
         rel = A("AB")
         a, b = HFTA(), HFTA()
@@ -190,7 +181,7 @@ class TestDifferentialVsReference:
                                                            workload):
         """A fully folded shard merged into an empty HFTA is adopted
         wholesale — bitwise the shard's own totals, no re-fold."""
-        batches, _, _ = workload
+        batches, _ = workload
         rel = A("AB")
         shard = HFTA()
         for batch in batches:
@@ -205,7 +196,7 @@ class TestDifferentialVsReference:
     @given(workload=_workload())
     @settings(max_examples=40)
     def test_pickle_roundtrip_preserves_totals(self, workload):
-        batches, folds, _ = workload
+        batches, folds = workload
         rel = A("AB")
         hfta = HFTA()
         for i, batch in enumerate(batches):
@@ -245,7 +236,7 @@ class TestQueryAnswerBruteForce:
            having=st.one_of(st.none(), st.integers(0, 30)))
     @settings(max_examples=120)
     def test_matches_oracle(self, workload, kind, having):
-        batches, folds, _ = workload
+        batches, folds = workload
         rel = A("AB")
         hfta = HFTA()
         for i, batch in enumerate(batches):
@@ -369,36 +360,6 @@ class TestKernelVsNumpyFold:
         hfta.ingest_arrays(rel, 0, {"A": [1]}, [4], [0.125])
         agg = hfta.totals(rel, 0)[(1,)]
         assert agg == GroupAggregate(7, 0.875, math.inf, -math.inf)
-
-
-class TestPremergedStaleFlag:
-    """Regression (satellite 1): a second premerged batch arriving after
-    the first was already folded must demote the flag — the old check
-    only looked at pending batches, which the fold had just released."""
-
-    def test_second_premerged_batch_after_fold_is_remerged(self):
-        hfta = HFTA()
-        rel = A("AB")
-        hfta.ingest_arrays(rel, 0, {"A": [1, 2], "B": [3, 4]}, [5, 6],
-                           [1.0, 2.0], premerged=True)
-        # Fold: the premerged batch is adopted as columnar state and the
-        # pending list is released.
-        assert hfta.totals(rel, 0)[(1, 3)].count == 5
-        hfta.ingest_arrays(rel, 0, {"A": [1], "B": [3]}, [7], [4.0],
-                           premerged=True)
-        assert (rel, 0) not in hfta._premerged
-        agg = hfta.totals(rel, 0)[(1, 3)]
-        assert agg.count == 12
-        assert agg.value_sum == 5.0
-
-    def test_flag_not_set_when_columnar_state_exists(self):
-        hfta = HFTA()
-        rel = A("A")
-        hfta.ingest_arrays(rel, 0, {"A": [9]}, [1])
-        hfta.totals(rel, 0)
-        hfta.ingest_arrays(rel, 0, {"A": [9]}, [2], premerged=True)
-        assert (rel, 0) not in hfta._premerged
-        assert hfta.totals(rel, 0)[(9,)].count == 3
 
 
 class TestBoundedMemory:
@@ -578,6 +539,7 @@ class TestCheckpointV3Restore:
         restored = LiveStreamSystem.restore(path)
         assert restored.hfta._columnar == {}
         assert not hasattr(restored.hfta, "_totals_cache")
+        assert not hasattr(restored.hfta, "_premerged")
         assert restored.hfta.folds == 0
         push(restored, 700, len(dataset))
         restored.finish()

@@ -7,6 +7,8 @@ run.
 """
 
 import pickle
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -293,10 +295,9 @@ class TestStagedReconfiguration:
 
     def test_version2_checkpoint_restores_as_all_hash(
             self, live_dataset, live_queries, live_plan, tmp_path):
-        """Pre-strategy snapshots (version 2) predate ``strategy_spec``,
-        shared-table state and per-era strategies; restoring one implies
-        the hash-everywhere era and finishes identically to the
-        uninterrupted hash run."""
+        """Pre-strategy snapshots (version 2) restore without any
+        strategy state and finish identically to the uninterrupted hash
+        run."""
         live = LiveStreamSystem(SCHEMA, live_queries, live_plan)
         push_slice(live, live_dataset, 0, 1000)
         path = tmp_path / "v2.ckpt"
@@ -304,20 +305,107 @@ class TestStagedReconfiguration:
         with path.open("rb") as handle:
             payload = pickle.load(handle)
         payload["checkpoint_version"] = 2
-        del payload["state"]["strategy_spec"]
-        del payload["state"]["_strategy_state"]
-        for era in payload["state"]["eras"]:
-            del era.strategies
         with path.open("wb") as handle:
             pickle.dump(payload, handle)
 
         restored = LiveStreamSystem.restore(path)
-        assert restored.strategy_spec is None
-        assert restored._strategy_state.stats()["tables"] == 0
-        for era in restored.eras:
-            assert set(era.strategies.values()) == {"hash"}
         push_slice(restored, live_dataset, 1000, len(live_dataset))
         restored.finish()
         oracle = run_uninterrupted(live_dataset, live_queries, live_plan)
         for query in live_queries:
             assert restored.answers(query) == oracle.answers(query)
+
+
+def _removed_strategy_module():
+    """A stand-in for the strategy module that version 5 deleted, with
+    the two classes version 3 and 4 checkpoints pickled."""
+    module = types.ModuleType("repro.gigascope.strategy")
+
+    class StrategyState:
+        def __init__(self):
+            self.tables = {}
+
+    class SharedGroupTable:
+        def __init__(self, names):
+            self.names = tuple(names)
+            self._slots = {(1, 2): 0, (3, 4): 1}
+            self._digests = np.array([7, 9], dtype=np.uint64)
+            self._digest_slots = np.array([0, 1], dtype=np.int64)
+
+    for cls in (StrategyState, SharedGroupTable):
+        cls.__module__ = module.__name__
+        cls.__qualname__ = cls.__name__
+        setattr(module, cls.__name__, cls)
+    return module
+
+
+class TestVersion4Compatibility:
+    """Version 4 checkpoints carry ``sort``/``shared`` strategy state
+    that version 5 removed; they must restore as all-hash runs."""
+
+    def _v4_checkpoint(self, live_dataset, live_queries, live_plan, path,
+                       monkeypatch):
+        live = LiveStreamSystem(SCHEMA, live_queries, live_plan)
+        push_slice(live, live_dataset, 0, 1700)
+        live.checkpoint(path)
+        with path.open("rb") as handle:
+            payload = pickle.load(handle)
+        state = payload["state"]
+        assert state["hfta"]._columnar  # a folded key to mark premerged
+        module = _removed_strategy_module()
+        strategy_state = module.StrategyState()
+        for leaf in live_plan.configuration.leaves:
+            strategy_state.tables[leaf.label()] = \
+                module.SharedGroupTable(leaf.names)
+        payload["checkpoint_version"] = 4
+        state["strategy_spec"] = "shared"
+        state["_strategy_state"] = strategy_state
+        for era in state["eras"]:
+            era.strategies = {
+                rel: "shared" if era.configuration.is_leaf(rel) else "hash"
+                for rel in era.configuration.relations}
+        state["hfta"]._premerged = set(state["hfta"]._columnar)
+        with monkeypatch.context() as patch:
+            patch.setitem(sys.modules, module.__name__, module)
+            with path.open("wb") as handle:
+                pickle.dump(payload, handle)
+
+    def test_shared_state_restores_as_all_hash(
+            self, live_dataset, live_queries, live_plan, tmp_path,
+            monkeypatch):
+        path = tmp_path / "v4.ckpt"
+        self._v4_checkpoint(live_dataset, live_queries, live_plan, path,
+                            monkeypatch)
+        # Without the compatibility unpickler the file no longer loads.
+        with path.open("rb") as handle, \
+                pytest.raises(ModuleNotFoundError):
+            pickle.load(handle)
+
+        restored = LiveStreamSystem.restore(path)
+        assert not hasattr(restored, "strategy_spec")
+        assert not hasattr(restored, "_strategy_state")
+        assert not hasattr(restored.hfta, "_premerged")
+        assert all("strategies" not in vars(era) for era in restored.eras)
+        push_slice(restored, live_dataset, 1700, len(live_dataset))
+        restored.finish()
+
+        oracle = run_uninterrupted(live_dataset, live_queries, live_plan)
+        for query in live_queries:
+            assert restored.answers(query) == oracle.answers(query)
+        assert restored.epoch_reports == oracle.epoch_reports
+        assert [era.counters.relations for era in restored.eras] == \
+            [era.counters.relations for era in oracle.eras]
+
+    def test_restored_run_checkpoints_as_version5(
+            self, live_dataset, live_queries, live_plan, tmp_path,
+            monkeypatch):
+        path = tmp_path / "v4.ckpt"
+        self._v4_checkpoint(live_dataset, live_queries, live_plan, path,
+                            monkeypatch)
+        restored = LiveStreamSystem.restore(path)
+        fresh = tmp_path / "v5.ckpt"
+        restored.checkpoint(fresh)
+        with fresh.open("rb") as handle:
+            payload = pickle.load(handle)
+        assert payload["checkpoint_version"] == CHECKPOINT_VERSION == 5
+        assert "_strategy_state" not in payload["state"]
